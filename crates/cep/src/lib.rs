@@ -36,7 +36,7 @@ pub use pattern::dsl::{conj, disj, event, kleene, neg, seq, PatternBuilder};
 pub use pattern::error::PatternError;
 pub use plan::{CompileError, Plan};
 pub use rewrite::{normalize, normalize_pattern, RewriteStats, MAX_ALTERNATIVES};
-pub use sharded::{run_sharded, run_sharded_obs, shard_layout, Shard};
+pub use sharded::{run_sharded, shard_layout, Shard};
 pub use share::{AttributedMatches, PatternSet, ShareReport, SharedPlan};
 pub use state::{NfaEngineState, StateError, TreeEngineState};
 pub use tree::{CostModel, TreeEngine};

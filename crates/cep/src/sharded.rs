@@ -76,60 +76,13 @@ pub fn shard_layout(
 /// the exact serial match set (in serial emission order) and deterministic
 /// merged stats. Falls back to a single serial engine when the layout
 /// produces at most one shard.
+///
+/// Each shard's engine run is recorded into `shard_nanos` (one sample per
+/// shard, including the single-shard fallback). When `tracer` is enabled,
+/// each sample carries the trace id of the first sampled event in the
+/// shard's owned range, linking the aggregate back to a concrete trace.
+/// Pass [`Histogram::disabled`] and [`Tracer::disabled`] to skip either.
 pub fn run_sharded<E, M>(
-    make: M,
-    window: WindowSpec,
-    events: &[PrimitiveEvent],
-    target_shard_events: usize,
-    pool: &ThreadPool,
-) -> (Vec<Match>, EngineStats)
-where
-    E: CepEngine,
-    M: Fn() -> E + Sync,
-{
-    run_sharded_obs(
-        make,
-        window,
-        events,
-        target_shard_events,
-        pool,
-        &Histogram::disabled(),
-    )
-}
-
-/// [`run_sharded`] with per-shard extraction timing: each shard's engine
-/// run is recorded into `shard_nanos` (one sample per shard, including the
-/// single-shard serial fallback). Pass [`Histogram::disabled`] to skip.
-pub fn run_sharded_obs<E, M>(
-    make: M,
-    window: WindowSpec,
-    events: &[PrimitiveEvent],
-    target_shard_events: usize,
-    pool: &ThreadPool,
-    shard_nanos: &Histogram,
-) -> (Vec<Match>, EngineStats)
-where
-    E: CepEngine,
-    M: Fn() -> E + Sync,
-{
-    run_sharded_traced(
-        make,
-        window,
-        events,
-        target_shard_events,
-        pool,
-        shard_nanos,
-        &Tracer::disabled(),
-    )
-}
-
-/// [`run_sharded_obs`] with trace-exemplar attachment: each shard's timing
-/// sample carries the trace id of the first sampled event in its owned
-/// range (when `tracer` is enabled), linking the `cep.shard_extract_nanos`
-/// aggregate back to a concrete sampled trace. Pass [`Tracer::disabled`]
-/// to skip.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sharded_traced<E, M>(
     make: M,
     window: WindowSpec,
     events: &[PrimitiveEvent],
@@ -276,6 +229,8 @@ mod tests {
                 &events,
                 target,
                 &pool,
+                &Histogram::disabled(),
+                &Tracer::disabled(),
             );
             assert_eq!(matches, serial_matches, "target_shard_events={target}");
             assert_eq!(stats.matches_emitted, serial_matches.len() as u64);
@@ -292,8 +247,9 @@ mod tests {
         };
         let pool = ThreadPool::new(4);
         let make = || NfaEngine::from_plan(crate::plan::Plan::compile(&pattern).unwrap(), config);
-        let (m1, s1) = run_sharded(make, pattern.window, &events, 12, &pool);
-        let (m2, s2) = run_sharded(make, pattern.window, &events, 12, &pool);
+        let (hist, tracer) = (Histogram::disabled(), Tracer::disabled());
+        let (m1, s1) = run_sharded(make, pattern.window, &events, 12, &pool, &hist, &tracer);
+        let (m2, s2) = run_sharded(make, pattern.window, &events, 12, &pool, &hist, &tracer);
         assert_eq!(m1, m2);
         assert_eq!(s1, s2);
         assert!(s1.partials_shed > 0, "budget should shed in every shard");

@@ -9,6 +9,7 @@ use dlacep_cep::plan::{Plan, StepKind};
 use dlacep_cep::sharded::run_sharded;
 use dlacep_cep::{LazyEngine, NfaEngine, TreeEngine};
 use dlacep_events::{EventId, EventStream, PrimitiveEvent, TypeId, WindowSpec};
+use dlacep_obs::{Histogram, Tracer};
 use dlacep_par::ThreadPool;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -241,13 +242,16 @@ proptest! {
 
         let window = Plan::compile(&p).unwrap().window;
         let (nfa_m, _) = run_sharded(
-            || NfaEngine::new(&p).unwrap(), window, s.events(), target, pool());
+            || NfaEngine::new(&p).unwrap(), window, s.events(), target, pool(),
+            &Histogram::disabled(), &Tracer::disabled());
         prop_assert_eq!(&nfa_m, &serial_matches);
         let (tree_m, _) = run_sharded(
-            || TreeEngine::new(&p).unwrap(), window, s.events(), target, pool());
+            || TreeEngine::new(&p).unwrap(), window, s.events(), target, pool(),
+            &Histogram::disabled(), &Tracer::disabled());
         prop_assert_eq!(keys(&tree_m), keys(&serial_matches));
         let (lazy_m, _) = run_sharded(
-            || LazyEngine::new(&p, Some(&[0.6, 0.4])).unwrap(), window, s.events(), target, pool());
+            || LazyEngine::new(&p, Some(&[0.6, 0.4])).unwrap(), window, s.events(), target, pool(),
+            &Histogram::disabled(), &Tracer::disabled());
         prop_assert_eq!(keys(&lazy_m), keys(&serial_matches));
     }
 

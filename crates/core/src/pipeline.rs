@@ -5,7 +5,7 @@ use crate::assembler::{AssemblerConfig, AssemblerError};
 use crate::filter::Filter;
 use dlacep_cep::engine::CepEngine;
 use dlacep_cep::plan::{CompileError, Plan};
-use dlacep_cep::sharded::run_sharded_traced;
+use dlacep_cep::sharded::run_sharded;
 use dlacep_cep::{
     EngineStats, Match, NfaConfig, NfaEngine, Pattern, PatternError, PatternSet, SharedPlan,
 };
@@ -368,62 +368,6 @@ impl<F: Filter> Dlacep<F> {
     /// so for a fixed `shard_events`).
     #[must_use = "the report carries the emitted matches"]
     pub fn run(&self, events: &[PrimitiveEvent]) -> DlacepReport {
-        match &self.pool {
-            Some(pool) => self.run_with_pool(pool, events),
-            None => self.run_serial(events),
-        }
-    }
-
-    fn run_serial(&self, events: &[PrimitiveEvent]) -> DlacepReport {
-        self.obs.events_total.add(events.len() as u64);
-        let tracer = self.obs.registry.tracer();
-        let traces = begin_pipeline_traces(&tracer, events);
-        let t_f0 = tracer.now_nanos();
-        let filter_start = Instant::now();
-        let mut filter_faults = 0usize;
-        let mut windows_marked = 0u64;
-        let mut relayed: BTreeMap<u64, PrimitiveEvent> = BTreeMap::new();
-        for window in self.assembler.windows(events) {
-            let marks = {
-                let _span = self.obs.mark_nanos.span();
-                self.filter.mark(window)
-            };
-            windows_marked += 1;
-            apply_marks(window, marks, &mut filter_faults, &mut relayed);
-        }
-        let filtered: Vec<PrimitiveEvent> = relayed.into_values().collect();
-        let filter_time = filter_start.elapsed();
-        let t_f1 = tracer.now_nanos();
-        self.record_filter_stage(windows_marked, filter_faults, filtered.len(), filter_time);
-
-        let cep_start = Instant::now();
-        let mut extractor = NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
-        let matches = extractor.run(&filtered);
-        let cep_time = cep_start.elapsed();
-        let t_c1 = tracer.now_nanos();
-        self.record_cep_stage(extractor.stats(), cep_time);
-        finish_pipeline_traces(
-            traces,
-            windows_marked,
-            &filtered,
-            &matches,
-            (t_f0, t_f1),
-            (t_f1, t_c1),
-        );
-
-        self.report(
-            events.len(),
-            filtered.len(),
-            matches,
-            *extractor.stats(),
-            filter_time,
-            cep_time,
-            filter_faults,
-            None,
-        )
-    }
-
-    fn run_with_pool(&self, pool: &Arc<ThreadPool>, events: &[PrimitiveEvent]) -> DlacepReport {
         self.obs.events_total.add(events.len() as u64);
         let tracer = self.obs.registry.tracer();
         let traces = begin_pipeline_traces(&tracer, events);
@@ -431,18 +375,20 @@ impl<F: Filter> Dlacep<F> {
         let filter_start = Instant::now();
         let mut filter_faults = 0usize;
         let mut relayed: BTreeMap<u64, PrimitiveEvent> = BTreeMap::new();
-        // Windows are independent reads of the stream: mark them on the
-        // pool, then merge in window order so dedupe insertion order — and
-        // therefore the relayed stream — matches the serial path exactly.
+        // Windows are independent reads of the stream: a large enough batch
+        // is marked on the pool, then merged in window order so dedupe
+        // insertion order — and therefore the relayed stream — is the same
+        // with or without a pool.
         let windows: Vec<&[PrimitiveEvent]> = self.assembler.windows(events).collect();
         let mark = |w: &&[PrimitiveEvent]| {
             let _span = self.obs.mark_nanos.span();
             self.filter.mark(w)
         };
-        let marks_per_window: Vec<Vec<bool>> = if windows.len() >= self.par.min_batch_windows {
-            pool.parallel_map(&windows, 1, |_, w| mark(w))
-        } else {
-            windows.iter().map(mark).collect()
+        let marks_per_window: Vec<Vec<bool>> = match &self.pool {
+            Some(pool) if windows.len() >= self.par.min_batch_windows => {
+                pool.parallel_map(&windows, 1, |_, w| mark(w))
+            }
+            _ => windows.iter().map(mark).collect(),
         };
         for (window, marks) in windows.iter().zip(marks_per_window) {
             apply_marks(window, marks, &mut filter_faults, &mut relayed);
@@ -458,21 +404,22 @@ impl<F: Filter> Dlacep<F> {
         );
 
         let cep_start = Instant::now();
-        let (matches, stats) = if filtered.len() >= 2 * self.par.shard_events {
-            run_sharded_traced(
-                || NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default()),
+        let make = || NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
+        let (matches, stats) = match &self.pool {
+            Some(pool) if filtered.len() >= 2 * self.par.shard_events => run_sharded(
+                make,
                 self.shared.plan().window,
                 &filtered,
                 self.par.shard_events,
-                pool.as_ref(),
+                pool,
                 &self.obs.shard_nanos,
                 &tracer,
-            )
-        } else {
-            let mut extractor =
-                NfaEngine::from_plan(self.shared.plan().clone(), NfaConfig::default());
-            let matches = extractor.run(&filtered);
-            (matches, *extractor.stats())
+            ),
+            _ => {
+                let mut extractor = make();
+                let matches = extractor.run(&filtered);
+                (matches, *extractor.stats())
+            }
         };
         let cep_time = cep_start.elapsed();
         let t_c1 = tracer.now_nanos();
@@ -486,21 +433,32 @@ impl<F: Filter> Dlacep<F> {
             (t_f1, t_c1),
         );
 
-        self.report(
-            events.len(),
-            filtered.len(),
-            matches,
-            stats,
+        // The engine emitted fused-plan matches (unit binding names);
+        // attribute them back to their source patterns with the original
+        // names restored.
+        let attributed = self.shared.attribute_all(&matches);
+        let (events_total, events_relayed) = (events.len(), filtered.len());
+        DlacepReport {
+            matches: attributed.union,
+            per_pattern: attributed.per_pattern,
+            events_total,
+            events_relayed,
             filter_time,
             cep_time,
+            filtering_ratio: if events_total == 0 {
+                0.0
+            } else {
+                1.0 - events_relayed as f64 / events_total as f64
+            },
+            extractor_stats: stats,
             filter_faults,
-            Some(pool.stats()),
-        )
+            pool: self.pool.as_ref().map(|p| p.stats()),
+            obs: self.obs.snapshot_if_enabled(),
+        }
     }
 
-    /// Record the filter stage's counters and wall time (identically on the
-    /// serial and pooled paths, so counter values stay thread-count
-    /// independent).
+    /// Record the filter stage's counters and wall time (counter values are
+    /// thread-count independent).
     fn record_filter_stage(
         &self,
         windows_marked: u64,
@@ -531,46 +489,10 @@ impl<F: Filter> Dlacep<F> {
             .cep_stage_nanos
             .record(u64::try_from(cep_time.as_nanos()).unwrap_or(u64::MAX));
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        events_total: usize,
-        events_relayed: usize,
-        matches: Vec<Match>,
-        extractor_stats: EngineStats,
-        filter_time: Duration,
-        cep_time: Duration,
-        filter_faults: usize,
-        pool: Option<PoolStats>,
-    ) -> DlacepReport {
-        // The engine emitted fused-plan matches (unit binding names);
-        // attribute them back to their source patterns with the original
-        // names restored.
-        let attributed = self.shared.attribute_all(&matches);
-        DlacepReport {
-            matches: attributed.union,
-            per_pattern: attributed.per_pattern,
-            events_total,
-            events_relayed,
-            filter_time,
-            cep_time,
-            filtering_ratio: if events_total == 0 {
-                0.0
-            } else {
-                1.0 - events_relayed as f64 / events_total as f64
-            },
-            extractor_stats,
-            filter_faults,
-            pool,
-            obs: self.obs.snapshot_if_enabled(),
-        }
-    }
 }
 
 /// Merge one window's marks into the relayed-event map, failing open on a
-/// wrong-length mark vector. Shared by the serial and pooled paths so both
-/// apply identical semantics.
+/// wrong-length mark vector.
 fn apply_marks(
     window: &[PrimitiveEvent],
     marks: Vec<bool>,

@@ -34,23 +34,19 @@
 //! killed mid-retrain and recovered equals an uninterrupted reference.
 
 use crate::filter::{Filter, OracleFilter};
-use crate::model::NetworkConfig;
 use crate::persist::{
     decode_event_filter, decode_quantized_filter, encode_event_filter, encode_quantized_filter,
 };
 use crate::quantized::QuantizedFilter;
-use crate::trainer::TrainConfig;
+use crate::trainer::{fit_event_network, oversample_positives, Sample, TrainConfig};
 use dlacep_cep::plan::Plan;
 use dlacep_cep::Pattern;
 use dlacep_events::PrimitiveEvent;
-use dlacep_nn::optim::Optimizer;
-use dlacep_nn::{record_epoch, Adam, BatchSampler, ConvergenceDetector};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::embed::EventEmbedder;
-use crate::model::EventNetwork;
 
 /// Environment variable overriding [`RetrainConfig::max_retries`].
 pub const RETRAIN_MAX_RETRIES_ENV: &str = "DLACEP_RETRAIN_MAX_RETRIES";
@@ -388,7 +384,7 @@ pub fn train_on_windows(
     let embedder = EventEmbedder::for_plan(&plan, num_attrs);
     let seed = cfg.seed ^ attempt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
 
-    let mut samples: Vec<(Vec<Vec<f32>>, Vec<bool>, bool)> = windows
+    let mut samples: Vec<Sample> = windows
         .iter()
         .map(|w| {
             let labels = oracle.mark(w);
@@ -396,64 +392,11 @@ pub fn train_on_windows(
             (embedder.embed_window(w, w.len()), labels, positive)
         })
         .collect();
+    // No shuffle after oversampling: the batch sampler shuffles every epoch.
     if cfg.oversample_positives {
-        let pos: Vec<usize> = (0..samples.len()).filter(|&i| samples[i].2).collect();
-        let neg = samples.len() - pos.len();
-        if !pos.is_empty() && neg > pos.len() {
-            let copies = ((neg / pos.len()).saturating_sub(1)).min(15);
-            let extra: Vec<usize> = pos
-                .iter()
-                .flat_map(|&i| std::iter::repeat_with(move || i).take(copies))
-                .collect();
-            for i in extra {
-                let dup = samples[i].clone();
-                samples.push(dup);
-            }
-        }
+        oversample_positives(&mut samples);
     }
-
-    let net_cfg = NetworkConfig {
-        input_dim: embedder.dim(),
-        hidden: cfg.hidden,
-        layers: cfg.layers,
-        seed,
-    };
-    let mut net = EventNetwork::new(net_cfg);
-    let obs = dlacep_obs::global();
-    let mut opt = Adam::new(cfg.lr.lr_at(0));
-    let mut sampler = BatchSampler::new(samples.len(), seed);
-    let mut detector =
-        ConvergenceDetector::new(cfg.convergence_threshold, cfg.convergence_patience);
-    for epoch in 0..cfg.max_epochs {
-        opt.set_lr(cfg.lr.lr_at(epoch));
-        let mut epoch_loss = 0.0;
-        let mut epoch_grad_norm = 0.0;
-        let mut batches = 0;
-        for batch_idx in sampler.epoch(cfg.batch.at(epoch)) {
-            let batch: Vec<(&[Vec<f32>], &[bool])> = batch_idx
-                .iter()
-                .map(|&i| {
-                    let (w, l, _) = &samples[i];
-                    (w.as_slice(), l.as_slice())
-                })
-                .collect();
-            let step = net.train_batch(&batch, &mut opt, cfg.grad_clip);
-            epoch_loss += step.loss;
-            epoch_grad_norm += step.grad_norm;
-            batches += 1;
-        }
-        let loss = epoch_loss / batches.max(1) as f32;
-        record_epoch(
-            &obs,
-            epoch,
-            loss,
-            epoch_grad_norm / batches.max(1) as f32,
-            cfg.lr.lr_at(epoch),
-        );
-        if detector.observe(loss) {
-            break;
-        }
-    }
+    let (net, _) = fit_event_network(&samples, embedder.dim(), cfg, seed);
     Ok(crate::filter::EventNetFilter {
         network: net,
         embedder,

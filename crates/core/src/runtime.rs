@@ -482,7 +482,7 @@ pub struct StreamingDlacep<F: Filter> {
 impl<F: Filter> StreamingDlacep<F> {
     /// Build with the default [`RuntimeConfig`].
     pub fn new(pattern: Pattern, filter: F) -> Result<Self, RuntimeError> {
-        Self::with_config_obs(pattern, filter, RuntimeConfig::default(), None)
+        Self::with_config_obs_trainer(pattern, filter, RuntimeConfig::default(), None, None)
     }
 
     /// Start a fluent builder — the one construction surface for every
@@ -492,23 +492,10 @@ impl<F: Filter> StreamingDlacep<F> {
         crate::builder::StreamingBuilder::new(pattern, filter)
     }
 
-    /// Shared construction path behind [`StreamingDlacep::builder`]: builds
-    /// the runtime, installs the obs registry (when given) *before* the
-    /// initial mode is recorded so the new journal is self-contained from
-    /// entry zero, and rebuilds the pool so its `pool.*` metrics land in the
-    /// same registry.
-    pub(crate) fn with_config_obs(
-        pattern: Pattern,
-        filter: F,
-        config: RuntimeConfig,
-        registry: Option<Arc<Registry>>,
-    ) -> Result<Self, RuntimeError> {
-        Self::with_config_obs_trainer(pattern, filter, config, registry, None)
-    }
-
-    /// Construction path behind [`crate::builder::StreamingBuilder::build`]
-    /// when a model trainer may be attached: pairs `config.retrain` with the
-    /// trainer (both or neither) before the usual registry installation.
+    /// Construction path behind [`crate::builder::StreamingBuilder::build`]:
+    /// builds the runtime against the obs registry (when given), pairs
+    /// `config.retrain` with the trainer (both or neither), and records the
+    /// initial mode so the new journal is self-contained from entry zero.
     pub(crate) fn with_config_obs_trainer(
         pattern: Pattern,
         filter: F,
@@ -516,13 +503,8 @@ impl<F: Filter> StreamingDlacep<F> {
         registry: Option<Arc<Registry>>,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<Self, RuntimeError> {
-        let mut rt = Self::build(pattern, filter, config)?;
+        let mut rt = Self::build(pattern, filter, config, registry)?;
         rt.attach_trainer(trainer)?;
-        if let Some(reg) = registry {
-            rt.obs = RuntimeObs::new(reg);
-            rt.pool = rt.par.build_pool_with_obs(&rt.obs.registry);
-            rt.tracer = rt.obs.registry.tracer();
-        }
         Ok(rt.with_initial_mode())
     }
 
@@ -551,10 +533,17 @@ impl<F: Filter> StreamingDlacep<F> {
     }
 
     /// Shared construction path of the builder and
-    /// [`StreamingDlacep::restore`]. Does *not* record the initial mode —
-    /// a restored runtime continues its checkpointed timeline and journal
-    /// sequence instead of starting a fresh one.
-    fn build(pattern: Pattern, filter: F, config: RuntimeConfig) -> Result<Self, RuntimeError> {
+    /// [`StreamingDlacep::restore`]. Metrics, journal, pool and tracer all
+    /// go to `registry` (the global registry when `None`). Does *not*
+    /// record the initial mode — a restored runtime continues its
+    /// checkpointed timeline and journal sequence instead of starting a
+    /// fresh one.
+    fn build(
+        pattern: Pattern,
+        filter: F,
+        config: RuntimeConfig,
+        registry: Option<Arc<Registry>>,
+    ) -> Result<Self, RuntimeError> {
         config.guard.validate().map_err(RuntimeError::Config)?;
         if let Some(drift) = &config.drift {
             drift.validate().map_err(RuntimeError::Config)?;
@@ -582,7 +571,7 @@ impl<F: Filter> StreamingDlacep<F> {
                 ..NfaConfig::default()
             },
         );
-        let obs = RuntimeObs::new(dlacep_obs::global());
+        let obs = RuntimeObs::new(registry.unwrap_or_else(dlacep_obs::global));
         let pool = config.parallelism.build_pool_with_obs(&obs.registry);
         let tracer = obs.registry.tracer();
         Ok(Self {
@@ -844,13 +833,8 @@ impl<F: Filter> StreamingDlacep<F> {
         ckpt: RuntimeCheckpoint,
         trainer: Option<Box<dyn ModelTrainer<F>>>,
     ) -> Result<Self, RuntimeError> {
-        let mut rt = Self::build(pattern, filter, config)?;
+        let mut rt = Self::build(pattern, filter, config, registry)?;
         rt.attach_trainer(trainer)?;
-        if let Some(reg) = registry {
-            rt.obs = RuntimeObs::new(reg);
-            rt.pool = rt.par.build_pool_with_obs(&rt.obs.registry);
-            rt.tracer = rt.obs.registry.tracer();
-        }
         if ckpt.config_fingerprint != rt.config_fingerprint() {
             return Err(RuntimeError::Restore(
                 "checkpoint was taken under a different runtime configuration".into(),

@@ -4,9 +4,11 @@
 //! finds a composite disjunction can even beat the average of evaluating the
 //! patterns separately (§5.2, Fig. 9g).
 //!
-//! This example registers the patterns as a [`PatternSet`]: the set compiles
-//! to one fused shared plan that scans each window once, and matches are
-//! attributed back to the pattern that produced them.
+//! This example trains that one network with `train_multi_pattern`, then
+//! hands it to the normal pipeline through `Dlacep::multi`: the
+//! [`PatternSet`] compiles to one fused shared plan that scans the filtered
+//! stream once, and matches are attributed back to the pattern that
+//! produced them.
 //!
 //! ```bash
 //! cargo run --release --example multi_pattern
@@ -48,23 +50,13 @@ fn main() {
     // Two independently authored alert patterns over the same stream.
     let p1 = seq2(0, 1, 6); // type 0 then type 1, rising attribute
     let p2 = seq2(2, 3, 6); // type 2 then type 3, rising attribute
-
-    // Register them as a first-class pattern set. The compiler normalizes
-    // each pattern, dedups structurally identical branches, and fuses the
-    // rest into one plan evaluated in a single pass per window.
     let set = PatternSet::new(vec![p1.clone(), p2.clone()]).expect("patterns share a window");
-    let shared = set.compile().expect("pattern set compiles");
-    let sr = shared.report();
-    println!(
-        "pattern set: {} patterns, {} branches -> {} fused units ({} merged, {} shared prefix steps)",
-        sr.patterns, sr.branches_total, sr.units, sr.branches_merged, sr.shared_prefix_steps
-    );
 
     let history = stream(14_000, 5);
     let live = stream(7_000, 6);
 
     // One network for the whole set: labels are OR-ed across patterns (§4.3).
-    println!("\ntraining one network for the pattern set...");
+    println!("training one network for the pattern set...");
     let trained = train_multi_pattern(set.patterns(), &history, &TrainConfig::quick())
         .expect("pattern set is valid");
     println!(
@@ -73,13 +65,27 @@ fn main() {
         trained.test.f1()
     );
 
-    // Filter once, scan once with the fused automaton, attribute per pattern.
-    let report = trained.system.run(live.events());
+    // The trained filter goes into the normal pipeline. The compiler
+    // normalizes each pattern, dedups structurally identical branches, and
+    // fuses the rest into one plan evaluated in a single pass.
+    let dl = Dlacep::multi(set, trained.filter)
+        .build()
+        .expect("pattern set compiles");
+    let sr = dl.shared_plan().report();
     println!(
-        "\nshared evaluation over {} events ({} relayed to the extractor):",
-        report.events_total, report.events_relayed
+        "\npattern set: {} patterns, {} branches -> {} fused units ({} merged, {} shared prefix steps)",
+        sr.patterns, sr.branches_total, sr.units, sr.branches_merged, sr.shared_prefix_steps
     );
-    for (i, (p, found)) in [&p1, &p2].iter().zip(&report.matches).enumerate() {
+
+    // Filter once, scan once with the fused automaton, attribute per pattern.
+    let report = dl.run(live.events());
+    println!(
+        "\nshared evaluation over {} events ({} relayed to the extractor, {} union matches):",
+        report.events_total,
+        report.events_relayed,
+        report.matches.len()
+    );
+    for (i, (p, found)) in [&p1, &p2].iter().zip(&report.per_pattern).enumerate() {
         let truth = ground_truth_matches(p, live.events());
         let keys: std::collections::BTreeSet<_> =
             truth.iter().map(|m| m.event_ids.clone()).collect();
@@ -92,19 +98,5 @@ fn main() {
             hit as f64 / truth.len().max(1) as f64
         );
     }
-
-    // The batch pipeline accepts the same set: Dlacep::multi gives a report
-    // with the union match set plus per-pattern attribution.
-    let oracle = Pattern::disjunction_of(&[p1.clone(), p2.clone()]).expect("one shared window");
-    let dl = Dlacep::multi(set, OracleFilter::new(oracle))
-        .build()
-        .unwrap();
-    let r = dl.run(live.events());
-    println!(
-        "\nDlacep::multi (oracle filter): {} union matches = {} (p1) + {} (p2)",
-        r.matches.len(),
-        r.per_pattern[0].len(),
-        r.per_pattern[1].len()
-    );
     println!("(one model, one scan of the stream — vs one of each per pattern when separate)");
 }
