@@ -13,7 +13,7 @@
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
-use crate::plan::{Branch, Plan, StepKind};
+use crate::plan::{Branch, Plan, Slot, StepKind};
 use crate::tree::TreeError;
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
 
@@ -37,7 +37,8 @@ struct LazyBranch {
     /// Per step: buffered candidate event ids within the window horizon.
     buffers: Vec<Vec<EventId>>,
     partials: Vec<LazyPm>,
-    binding_of: Vec<String>,
+    /// Binding names of emitted matches ([`Branch::emission_bindings`]).
+    names: Vec<String>,
 }
 
 /// Frequency-ordered lazy evaluation engine.
@@ -75,19 +76,11 @@ impl LazyEngine {
                         });
                     }
                 }
-                let binding_of = b
-                    .steps
-                    .iter()
-                    .map(|s| match &s.kind {
-                        StepKind::Single { binding, .. } => binding.clone(),
-                        StepKind::Kleene { .. } => unreachable!("rejected above"),
-                    })
-                    .collect();
                 Ok(LazyBranch {
                     buffers: vec![Vec::new(); n],
                     partials: Vec::new(),
                     order,
-                    binding_of,
+                    names: b.emission_bindings(),
                     branch: b,
                 })
             })
@@ -105,9 +98,11 @@ impl LazyEngine {
     pub fn with_sample(pattern: &Pattern, sample: &[PrimitiveEvent]) -> Result<Self, TreeError> {
         let plan = Plan::compile(pattern)?;
         // Use the first branch to measure rates (branches share structure in
-        // the paper's patterns; per-branch orders would also be valid).
-        let model = crate::tree::estimate_cost_model(&plan.branches[0], sample);
-        Self::new(pattern, Some(&model.rates))
+        // the paper's patterns; per-branch orders would also be valid). A
+        // plan that can never match has no branch to measure.
+        let rates =
+            (plan.branches.first()).map(|b| crate::tree::estimate_cost_model(b, sample).rates);
+        Self::new(pattern, rates.as_deref())
     }
 
     /// Stored partial matches (for the memory comparison in Fig. 12's
@@ -175,12 +170,11 @@ impl LazyEngine {
                 continue;
             }
             stats.condition_evaluations += 1;
-            let lookup = |b: &str, a: usize| -> Option<f64> {
-                let step = lb.binding_of.iter().position(|n| n == b)?;
-                let id = next_pm.ids[step]?;
-                arena.get(id)?.attr(a)
+            let get = |slot: Slot, a: usize| match slot {
+                Slot::Step(s) => arena.get(next_pm.ids[s]?)?.attr(a),
+                _ => None,
             };
-            if cond.pred.eval(&lookup) == Some(false) {
+            if cond.pred.eval(get) == Some(false) {
                 return None;
             }
         }
@@ -222,7 +216,7 @@ impl CepEngine for LazyEngine {
             }
             let n = lb.branch.steps.len();
             // Buffer the event at every step it can serve, gated by that
-            // step's single-step conditions.
+            // step's single-step conditions (every slot is step `s`).
             for s in 0..n {
                 let StepKind::Single { types, .. } = &lb.branch.steps[s].kind else {
                     unreachable!()
@@ -235,14 +229,7 @@ impl CepEngine for LazyEngine {
                         return true;
                     }
                     stats.condition_evaluations += 1;
-                    let lookup = |b: &str, a: usize| -> Option<f64> {
-                        if b == lb.binding_of[s] {
-                            arena.get(ev.id)?.attr(a)
-                        } else {
-                            None
-                        }
-                    };
-                    c.pred.eval(&lookup) == Some(true)
+                    c.pred.eval(|_, a| ev.attr(a)) == Some(true)
                 });
                 if ok {
                     lb.buffers[s].push(ev.id);
@@ -288,13 +275,10 @@ impl CepEngine for LazyEngine {
             while let Some(pm) = worklist.pop() {
                 stats.partial_matches_created += 1;
                 if pm.next == n {
-                    let bindings: Vec<(String, Vec<EventId>)> = lb
-                        .binding_of
-                        .iter()
-                        .enumerate()
-                        .map(|(s, name)| (name.clone(), vec![pm.ids[s].expect("complete")]))
-                        .collect();
-                    out.push(Match::from_bindings(bindings));
+                    let ids = pm.ids.iter().map(|id| vec![id.expect("complete")]);
+                    out.push(Match::from_bindings(
+                        lb.names.iter().cloned().zip(ids).collect(),
+                    ));
                     stats.matches_emitted += 1;
                     continue;
                 }
@@ -466,6 +450,19 @@ mod tests {
             match_keys(&lazy.run(s.events())),
             match_keys(&nfa.run(s.events()))
         );
+    }
+
+    #[test]
+    fn never_matching_pattern_builds_from_a_sample() {
+        // A false binding-free condition leaves no branch to measure rates on.
+        let p = Pattern::new(
+            PatternExpr::Seq(vec![leaf(A, "a"), leaf(B, "b")]),
+            vec![Predicate::lt(Expr::Const(2.0), Expr::Const(1.0))],
+            WindowSpec::Count(10),
+        );
+        let s = stream(&[A, B, A, B, A, B]);
+        let mut lazy = LazyEngine::with_sample(&p, s.events()).unwrap();
+        assert!(lazy.run(s.events()).is_empty());
     }
 
     #[test]

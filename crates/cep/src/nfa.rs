@@ -8,18 +8,9 @@
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
-use crate::plan::{Branch, CompileError, NegGroup, Plan, StepKind};
+use crate::plan::{Branch, CompileError, NegGroup, Plan, Slot, StepKind};
 use crate::state::{KleeneSnapshot, NfaEngineState, PartialSnapshot, StateError};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
-use std::collections::HashMap;
-
-/// Where a binding resolves at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RtSlot {
-    Step(usize),
-    KleeneElem { step: usize, elem: usize },
-    NegElem { neg: usize, elem: usize },
-}
 
 /// State of one Kleene step inside a partial match.
 #[derive(Debug, Clone, Default)]
@@ -69,7 +60,8 @@ impl PartialMatch {
 
 struct BranchRuntime {
     branch: Branch,
-    resolver: HashMap<String, RtSlot>,
+    /// Binding names of emitted matches ([`Branch::emission_bindings`]).
+    names: Vec<String>,
     /// Step index → Kleene ordinal.
     kleene_ord: Vec<Option<usize>>,
     succ_masks: Vec<u64>,
@@ -79,38 +71,17 @@ struct BranchRuntime {
 
 impl BranchRuntime {
     fn new(branch: Branch) -> Self {
-        let mut resolver = HashMap::new();
         let mut kleene_ord = vec![None; branch.steps.len()];
-        let mut ord = 0;
-        for (i, step) in branch.steps.iter().enumerate() {
-            match &step.kind {
-                StepKind::Single { binding, .. } => {
-                    resolver.insert(binding.clone(), RtSlot::Step(i));
-                }
-                StepKind::Kleene { inner, .. } => {
-                    for (j, elem) in inner.iter().enumerate() {
-                        resolver.insert(
-                            elem.binding.clone(),
-                            RtSlot::KleeneElem { step: i, elem: j },
-                        );
-                    }
-                    kleene_ord[i] = Some(ord);
-                    ord += 1;
-                }
-            }
-        }
-        for (n, neg) in branch.negs.iter().enumerate() {
-            for (j, elem) in neg.inner.iter().enumerate() {
-                resolver.insert(elem.binding.clone(), RtSlot::NegElem { neg: n, elem: j });
-            }
+        for (ord, s) in branch.kleene_steps().into_iter().enumerate() {
+            kleene_ord[s] = Some(ord);
         }
         let succ_masks = (0..branch.steps.len())
             .map(|s| branch.successor_mask(s))
             .collect();
         let full_mask = branch.full_mask();
         Self {
+            names: branch.emission_bindings(),
             branch,
-            resolver,
             kleene_ord,
             succ_masks,
             full_mask,
@@ -315,11 +286,10 @@ impl NfaEngine {
     }
 }
 
-/// Attribute lookup for predicate evaluation: resolves binding names through
-/// the runtime slot table, then through the arena, with optional
-/// Kleene-iteration and negation-candidate overlays.
+/// Attribute lookup for predicate evaluation: reads a slot's event from the
+/// partial match through the arena, with optional Kleene-iteration and
+/// negation-candidate overlays.
 struct Lookup<'a> {
-    rt: &'a BranchRuntime,
     pm: &'a PartialMatch,
     arena: &'a EventArena,
     /// Iteration overlay: `(kleene step, ids per inner elem)`.
@@ -329,18 +299,17 @@ struct Lookup<'a> {
 }
 
 impl<'a> Lookup<'a> {
-    fn get(&self, binding: &str, attr: usize) -> Option<f64> {
-        let slot = self.rt.resolver.get(binding)?;
-        let id = match *slot {
-            RtSlot::Step(s) => self.pm.single[s]?,
-            RtSlot::KleeneElem { step, elem } => {
+    fn get(&self, slot: Slot, attr: usize) -> Option<f64> {
+        let id = match slot {
+            Slot::Step(s) => self.pm.single[s]?,
+            Slot::KleeneElem { step, elem } => {
                 let (it_step, ids) = self.iteration?;
                 if it_step != step {
                     return None;
                 }
                 *ids.get(elem)?
             }
-            RtSlot::NegElem { neg, elem } => {
+            Slot::NegElem { neg, elem } => {
                 let (n, ids) = self.neg?;
                 if n != neg {
                     return None;
@@ -372,13 +341,12 @@ impl NfaEngine {
             }
             stats.condition_evaluations += 1;
             let lk = Lookup {
-                rt,
                 pm,
                 arena,
                 iteration: None,
                 neg: None,
             };
-            if cond.pred.eval(&|b, a| lk.get(b, a)) == Some(false) {
+            if cond.pred.eval(|slot, a| lk.get(slot, a)) == Some(false) {
                 return false;
             }
         }
@@ -407,13 +375,12 @@ impl NfaEngine {
             for iter in &pm.kleene[ord].iterations {
                 stats.condition_evaluations += 1;
                 let lk = Lookup {
-                    rt,
                     pm,
                     arena,
                     iteration: Some((*step, iter)),
                     neg: None,
                 };
-                if pred.eval(&|b, a| lk.get(b, a)) != Some(true) {
+                if pred.eval(|slot, a| lk.get(slot, a)) != Some(true) {
                     return;
                 }
             }
@@ -497,18 +464,7 @@ impl NfaEngine {
             arena.between(lo, hi).collect()
         };
         let mut assigned: Vec<Option<EventId>> = vec![None; neg.inner.len()];
-        Self::neg_dfs(
-            stats,
-            rt,
-            arena,
-            pm,
-            n,
-            neg,
-            &candidates,
-            0,
-            0,
-            &mut assigned,
-        )
+        Self::neg_dfs(stats, arena, pm, n, neg, &candidates, 0, 0, &mut assigned)
     }
 
     /// Backtracking search for an in-order occurrence of the negated
@@ -516,7 +472,6 @@ impl NfaEngine {
     #[allow(clippy::too_many_arguments)]
     fn neg_dfs(
         stats: &mut EngineStats,
-        rt: &BranchRuntime,
         arena: &EventArena,
         pm: &PartialMatch,
         n: usize,
@@ -531,13 +486,12 @@ impl NfaEngine {
             for cond in &neg.conditions {
                 stats.condition_evaluations += 1;
                 let lk = Lookup {
-                    rt,
                     pm,
                     arena,
                     iteration: None,
                     neg: Some((n, assigned)),
                 };
-                if cond.pred_eval(&lk) != Some(true) {
+                if cond.eval(|slot, a| lk.get(slot, a)) != Some(true) {
                     return false;
                 }
             }
@@ -550,7 +504,6 @@ impl NfaEngine {
             assigned[elem] = Some(cand.id);
             if Self::neg_dfs(
                 stats,
-                rt,
                 arena,
                 pm,
                 n,
@@ -568,35 +521,19 @@ impl NfaEngine {
     }
 
     fn build_match(rt: &BranchRuntime, pm: &PartialMatch) -> Match {
-        let mut bindings = Vec::new();
+        let mut ids = Vec::with_capacity(rt.names.len());
         for (s, step) in rt.branch.steps.iter().enumerate() {
-            match &step.kind {
-                StepKind::Single { binding, .. } => {
-                    bindings.push((binding.clone(), vec![pm.single[s].expect("bound")]));
+            match (&step.kind, rt.kleene_ord[s]) {
+                (StepKind::Kleene { inner, .. }, Some(ord)) => {
+                    let iterations = &pm.kleene[ord].iterations;
+                    ids.extend(
+                        (0..inner.len()).map(|j| iterations.iter().map(|it| it[j]).collect()),
+                    );
                 }
-                StepKind::Kleene { inner, .. } => {
-                    let ord = rt.kleene_ord[s].expect("kleene ordinal");
-                    for (j, elem) in inner.iter().enumerate() {
-                        let ids: Vec<EventId> =
-                            pm.kleene[ord].iterations.iter().map(|it| it[j]).collect();
-                        bindings.push((elem.binding.clone(), ids));
-                    }
-                }
+                _ => ids.push(vec![pm.single[s].expect("bound")]),
             }
         }
-        Match::from_bindings(bindings)
-    }
-}
-
-// Small helper so neg conditions evaluate through the overlay. (The generic
-// `Predicate::eval` takes a closure; this keeps the call sites readable.)
-trait PredEval {
-    fn pred_eval(&self, lk: &Lookup<'_>) -> Option<bool>;
-}
-
-impl PredEval for crate::pattern::condition::Predicate {
-    fn pred_eval(&self, lk: &Lookup<'_>) -> Option<bool> {
-        self.eval(&|b, a| lk.get(b, a))
+        Match::from_bindings(rt.names.iter().cloned().zip(ids).collect())
     }
 }
 
@@ -692,13 +629,12 @@ impl CepEngine for NfaEngine {
                                 for cond in iter_conditions {
                                     stats.condition_evaluations += 1;
                                     let lk = Lookup {
-                                        rt,
                                         pm: &next,
                                         arena,
                                         iteration: Some((s, &iter)),
                                         neg: None,
                                     };
-                                    if cond.pred_eval(&lk) == Some(false) {
+                                    if cond.eval(|slot, a| lk.get(slot, a)) == Some(false) {
                                         ok = false;
                                         break;
                                     }

@@ -159,6 +159,8 @@ impl Predicate {
 
     /// Evaluate against a binding resolver. `None` when some referenced
     /// binding is not (yet) bound — callers treat that as "not decidable".
+    /// This by-name form is the reference semantics; engines evaluate the
+    /// compiled [`crate::plan::SlotPredicate`].
     pub fn eval(&self, lookup: &dyn Fn(&str, usize) -> Option<f64>) -> Option<bool> {
         match self {
             Predicate::Cmp { lhs, op, rhs } => Some(op.apply(lhs.eval(lookup)?, rhs.eval(lookup)?)),

@@ -7,12 +7,15 @@
 //! 2. **Flattening into a partial order** — SEQ/CONJ nesting becomes a list
 //!    of [`PlanStep`]s, each carrying the set of steps that must precede it
 //!    temporally (SEQ chains steps; CONJ leaves them unordered).
-//! 3. **Condition classification** — each `WHERE` predicate is routed to the
-//!    earliest point it can prune: eagerly on single-event slots, per Kleene
-//!    iteration, or as a negation-gap constraint.
+//! 3. **Condition resolution** — each `WHERE` predicate has its binding
+//!    names resolved once to [`Slot`]s, giving the [`SlotPredicate`] every
+//!    engine evaluates, and is routed to the earliest point it can prune:
+//!    eagerly on single-event slots, per Kleene iteration, or as a
+//!    negation-gap constraint. A binding-free condition is decided here: a
+//!    true one is dropped, a false one removes the branch.
 
 use crate::pattern::ast::{Pattern, PatternExpr, TypeSet};
-use crate::pattern::condition::Predicate;
+use crate::pattern::condition::{CmpOp, Expr, Predicate};
 use dlacep_events::WindowSpec;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -82,6 +85,117 @@ impl std::fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// Where a condition operand lives within a branch: a binding name resolved
+/// at compile time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Slot {
+    /// The event bound to single step `i`.
+    Step(usize),
+    /// Element `elem` of the Kleene iteration under evaluation at `step`.
+    KleeneElem {
+        /// Kleene step index.
+        step: usize,
+        /// Position in the Kleene body.
+        elem: usize,
+    },
+    /// Element `elem` of the candidate occurrence of negation group `neg`.
+    NegElem {
+        /// Negation group index.
+        neg: usize,
+        /// Position in the negated sequence.
+        elem: usize,
+    },
+}
+
+/// An [`Expr`] with every binding resolved to a [`Slot`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SlotExpr {
+    /// Literal.
+    Const(f64),
+    /// Attribute `attr` of the event in `slot`.
+    Attr {
+        /// Operand slot.
+        slot: Slot,
+        /// Attribute index within the event.
+        attr: usize,
+    },
+    /// Product.
+    Mul(Box<SlotExpr>, Box<SlotExpr>),
+    /// Sum.
+    Add(Box<SlotExpr>, Box<SlotExpr>),
+    /// Difference.
+    Sub(Box<SlotExpr>, Box<SlotExpr>),
+}
+
+impl SlotExpr {
+    fn eval<F: Fn(Slot, usize) -> Option<f64>>(&self, get: &F) -> Option<f64> {
+        match self {
+            SlotExpr::Const(c) => Some(*c),
+            SlotExpr::Attr { slot, attr } => get(*slot, *attr),
+            SlotExpr::Mul(a, b) => Some(a.eval(get)? * b.eval(get)?),
+            SlotExpr::Add(a, b) => Some(a.eval(get)? + b.eval(get)?),
+            SlotExpr::Sub(a, b) => Some(a.eval(get)? - b.eval(get)?),
+        }
+    }
+}
+
+/// A [`Predicate`] compiled against one branch — the only condition form the
+/// engines evaluate.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum SlotPredicate {
+    /// `lhs op rhs`.
+    Cmp {
+        /// Left expression.
+        lhs: SlotExpr,
+        /// Operator.
+        op: CmpOp,
+        /// Right expression.
+        rhs: SlotExpr,
+    },
+    /// All must hold.
+    And(Vec<SlotPredicate>),
+    /// At least one must hold.
+    Or(Vec<SlotPredicate>),
+    /// Negated predicate.
+    Not(Box<SlotPredicate>),
+    /// Always true.
+    True,
+}
+
+impl SlotPredicate {
+    /// Evaluate, reading attribute `attr` of the event in a slot through
+    /// `get`. Same semantics as [`Predicate::eval`]: `None` when an operand's
+    /// slot is empty (not yet decidable), `And`/`Or` short-circuit left to
+    /// right.
+    pub fn eval(&self, get: impl Fn(Slot, usize) -> Option<f64>) -> Option<bool> {
+        self.eval_with(&get)
+    }
+
+    fn eval_with<F: Fn(Slot, usize) -> Option<f64>>(&self, get: &F) -> Option<bool> {
+        match self {
+            SlotPredicate::Cmp { lhs, op, rhs } => Some(op.apply(lhs.eval(get)?, rhs.eval(get)?)),
+            SlotPredicate::And(ps) => {
+                for p in ps {
+                    if !p.eval_with(get)? {
+                        return Some(false);
+                    }
+                }
+                Some(true)
+            }
+            SlotPredicate::Or(ps) => {
+                for p in ps {
+                    if p.eval_with(get)? {
+                        return Some(true);
+                    }
+                }
+                Some(false)
+            }
+            SlotPredicate::Not(p) => Some(!p.eval_with(get)?),
+            SlotPredicate::True => Some(true),
+        }
+    }
+}
+
 /// One typed leaf inside a Kleene or negation group.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GroupElem {
@@ -108,7 +222,7 @@ pub enum StepKind {
         /// Conditions referencing this closure's bindings, applied to every
         /// iteration (∀ semantics). Evaluated at iteration completion when
         /// decidable, re-checked at match completion otherwise.
-        iter_conditions: Vec<Predicate>,
+        iter_conditions: Vec<SlotPredicate>,
     },
 }
 
@@ -133,7 +247,7 @@ pub struct NegGroup {
     /// Positive steps whose earliest event ends the gap (never empty).
     pub before: Vec<usize>,
     /// Conditions referencing negated + positive single bindings.
-    pub conditions: Vec<Predicate>,
+    pub conditions: Vec<SlotPredicate>,
 }
 
 /// A condition over single-event slots, evaluated eagerly once all referenced
@@ -141,7 +255,7 @@ pub struct NegGroup {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GlobalCond {
     /// The predicate.
-    pub pred: Predicate,
+    pub pred: SlotPredicate,
     /// Bitmask of steps that must be bound before evaluation.
     pub step_mask: u64,
 }
@@ -157,7 +271,7 @@ pub struct Branch {
     pub global_conds: Vec<GlobalCond>,
     /// Kleene-referencing conditions re-validated at completion:
     /// `(kleene step index, predicate)`.
-    pub deferred_conds: Vec<(usize, Predicate)>,
+    pub deferred_conds: Vec<(usize, SlotPredicate)>,
 }
 
 impl Branch {
@@ -191,23 +305,28 @@ impl Branch {
         m
     }
 
-    /// Binding names of every positive single step, in step order.
-    pub fn single_bindings(&self) -> Vec<(usize, &str)> {
-        self.steps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match &s.kind {
-                StepKind::Single { binding, .. } => Some((i, binding.as_str())),
-                StepKind::Kleene { .. } => None,
-            })
-            .collect()
+    /// Binding names in [`crate::Match`] emission order: steps in order, a
+    /// single step contributing its binding and a Kleene step its inner
+    /// elements'. Negated bindings never appear in matches.
+    pub fn emission_bindings(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for step in &self.steps {
+            match &step.kind {
+                StepKind::Single { binding, .. } => out.push(binding.clone()),
+                StepKind::Kleene { inner, .. } => {
+                    out.extend(inner.iter().map(|e| e.binding.clone()));
+                }
+            }
+        }
+        out
     }
 }
 
 /// A compiled pattern: DISJ branches plus the window.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Plan {
-    /// The alternatives.
+    /// The alternatives; none when a binding-free condition is false, so
+    /// the plan never matches.
     pub branches: Vec<Branch>,
     /// Window semantics shared by all branches.
     pub window: WindowSpec,
@@ -220,31 +339,15 @@ impl Plan {
         if alts.is_empty() {
             return Err(CompileError::EmptyPattern);
         }
+        // Per condition: `Ok` once it lands in some branch, else a binding
+        // name that did not resolve.
+        let mut placed: Vec<Result<(), &str>> = vec![Err(""); pattern.conditions.len()];
         let mut branches = Vec::with_capacity(alts.len());
         for alt in &alts {
-            branches.push(compile_branch(alt, &pattern.conditions)?);
+            branches.extend(compile_branch(alt, &pattern.conditions, &mut placed)?);
         }
-        // Every condition must land in at least one branch.
-        for cond in &pattern.conditions {
-            let placed = branches.iter().any(|b| {
-                b.global_conds.iter().any(|g| &g.pred == cond)
-                    || b.deferred_conds.iter().any(|(_, p)| p == cond)
-                    || b.negs.iter().any(|n| n.conditions.contains(cond))
-                    || b.steps.iter().any(|s| match &s.kind {
-                        StepKind::Kleene {
-                            iter_conditions, ..
-                        } => iter_conditions.contains(cond),
-                        StepKind::Single { .. } => false,
-                    })
-            });
-            if !placed {
-                let missing = cond
-                    .referenced_bindings()
-                    .first()
-                    .map(|s| (*s).to_string())
-                    .unwrap_or_default();
-                return Err(CompileError::UnknownBinding(missing));
-            }
+        if let Some(Err(missing)) = placed.into_iter().find(Result::is_err) {
+            return Err(CompileError::UnknownBinding(missing.to_string()));
         }
         Ok(Plan {
             branches,
@@ -321,23 +424,15 @@ fn hoist_disj(expr: &PatternExpr) -> Result<Vec<PatternExpr>, CompileError> {
     }
 }
 
-/// Where a binding name resolves within a branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotRef {
-    Step(usize),
-    KleeneElem(usize),
-    NegElem(usize),
-}
-
 #[derive(Default)]
 struct BranchBuilder {
     steps: Vec<PlanStep>,
     negs: Vec<NegGroup>,
-    names: HashMap<String, SlotRef>,
+    names: HashMap<String, Slot>,
 }
 
 impl BranchBuilder {
-    fn declare(&mut self, name: &str, slot: SlotRef) -> Result<(), CompileError> {
+    fn declare(&mut self, name: &str, slot: Slot) -> Result<(), CompileError> {
         if self.names.insert(name.to_string(), slot).is_some() {
             return Err(CompileError::DuplicateBinding(name.to_string()));
         }
@@ -389,7 +484,7 @@ fn walk(
             if idx >= MAX_STEPS {
                 return Err(CompileError::TooManySteps);
             }
-            b.declare(binding, SlotRef::Step(idx))?;
+            b.declare(binding, Slot::Step(idx))?;
             b.steps.push(PlanStep {
                 kind: StepKind::Single {
                     types: types.clone(),
@@ -405,8 +500,8 @@ fn walk(
             if idx >= MAX_STEPS {
                 return Err(CompileError::TooManySteps);
             }
-            for elem in &inner {
-                b.declare(&elem.binding, SlotRef::KleeneElem(idx))?;
+            for (elem, e) in inner.iter().enumerate() {
+                b.declare(&e.binding, Slot::KleeneElem { step: idx, elem })?;
             }
             b.steps.push(PlanStep {
                 kind: StepKind::Kleene {
@@ -425,8 +520,8 @@ fn walk(
                 if let PatternExpr::Neg(body) = c {
                     let inner = flatten_leaf_seq(body)?;
                     let neg_idx = b.negs.len();
-                    for elem in &inner {
-                        b.declare(&elem.binding, SlotRef::NegElem(neg_idx))?;
+                    for (elem, e) in inner.iter().enumerate() {
+                        b.declare(&e.binding, Slot::NegElem { neg: neg_idx, elem })?;
                     }
                     // `after` = the positive steps accumulated so far in this
                     // seq (or the enclosing preds when the NEG leads).
@@ -475,7 +570,58 @@ fn walk(
     }
 }
 
-fn compile_branch(expr: &PatternExpr, conditions: &[Predicate]) -> Result<Branch, CompileError> {
+/// Lowers predicates onto a branch's slots, recording every slot read.
+struct Resolver<'n> {
+    names: &'n HashMap<String, Slot>,
+    used: Vec<Slot>,
+}
+
+impl Resolver<'_> {
+    /// `Err` names the first binding the branch does not define.
+    fn pred<'a>(&mut self, p: &'a Predicate) -> Result<SlotPredicate, &'a str> {
+        Ok(match p {
+            Predicate::Cmp { lhs, op, rhs } => SlotPredicate::Cmp {
+                lhs: self.expr(lhs)?,
+                op: *op,
+                rhs: self.expr(rhs)?,
+            },
+            Predicate::And(ps) => SlotPredicate::And(self.preds(ps)?),
+            Predicate::Or(ps) => SlotPredicate::Or(self.preds(ps)?),
+            Predicate::Not(q) => SlotPredicate::Not(Box::new(self.pred(q)?)),
+            Predicate::True => SlotPredicate::True,
+        })
+    }
+
+    fn preds<'a>(&mut self, ps: &'a [Predicate]) -> Result<Vec<SlotPredicate>, &'a str> {
+        ps.iter().map(|q| self.pred(q)).collect()
+    }
+
+    fn expr<'a>(&mut self, e: &'a Expr) -> Result<SlotExpr, &'a str> {
+        let mut pair = |a: &'a Expr, b: &'a Expr| -> Result<_, &'a str> {
+            Ok((Box::new(self.expr(a)?), Box::new(self.expr(b)?)))
+        };
+        Ok(match e {
+            Expr::Const(c) => SlotExpr::Const(*c),
+            Expr::Attr { binding, attr } => {
+                let slot = *self.names.get(binding).ok_or(binding.as_str())?;
+                self.used.push(slot);
+                SlotExpr::Attr { slot, attr: *attr }
+            }
+            Expr::Mul(a, b) => pair(a, b).map(|(a, b)| SlotExpr::Mul(a, b))?,
+            Expr::Add(a, b) => pair(a, b).map(|(a, b)| SlotExpr::Add(a, b))?,
+            Expr::Sub(a, b) => pair(a, b).map(|(a, b)| SlotExpr::Sub(a, b))?,
+        })
+    }
+}
+
+/// Compile one DISJ alternative; `None` when a binding-free condition is
+/// false, so the branch can never match. Marks in `placed` which conditions
+/// resolve here (see [`Plan::compile`]).
+fn compile_branch<'c>(
+    expr: &PatternExpr,
+    conditions: &'c [Predicate],
+    placed: &mut [Result<(), &'c str>],
+) -> Result<Option<Branch>, CompileError> {
     let mut b = BranchBuilder::default();
     let _ = walk(expr, &[], &mut b)?;
     if b.steps.is_empty() {
@@ -485,63 +631,59 @@ fn compile_branch(expr: &PatternExpr, conditions: &[Predicate]) -> Result<Branch
         mut steps,
         mut negs,
         names,
-        ..
     } = b;
     let mut global_conds = Vec::new();
     let mut deferred_conds = Vec::new();
+    let mut never = false;
 
-    for cond in conditions {
-        let refs = cond.referenced_bindings();
-        // Skip conditions referencing bindings not in this branch; the Plan
-        // validates that each condition lands somewhere.
-        let mut slots = Vec::with_capacity(refs.len());
-        let mut known = true;
-        for r in &refs {
-            match names.get(*r) {
-                Some(s) => slots.push(*s),
-                None => {
-                    known = false;
-                    break;
+    for (cond, placed) in conditions.iter().zip(placed.iter_mut()) {
+        let mut r = Resolver {
+            names: &names,
+            used: Vec::new(),
+        };
+        // Conditions referencing bindings of other branches are skipped here.
+        let pred = match r.pred(cond) {
+            Ok(pred) => pred,
+            Err(missing) => {
+                if placed.is_err() {
+                    *placed = Err(missing);
                 }
+                continue;
             }
-        }
-        if !known || refs.is_empty() {
-            if refs.is_empty() {
-                // Constant predicates are eagerly evaluable with no steps.
-                global_conds.push(GlobalCond {
-                    pred: cond.clone(),
-                    step_mask: 0,
-                });
-            }
+        };
+        *placed = Ok(());
+        if r.used.is_empty() {
+            // Binding-free: decided once, here, for every engine.
+            never |= pred.eval(|_, _| None) == Some(false);
             continue;
         }
-        let kleenes: Vec<usize> = slots
+        let kleenes: Vec<usize> = r
+            .used
             .iter()
             .filter_map(|s| match s {
-                SlotRef::KleeneElem(k) => Some(*k),
+                Slot::KleeneElem { step, .. } => Some(*step),
                 _ => None,
             })
             .collect();
-        let neg_refs: Vec<usize> = slots
+        let neg_refs: Vec<usize> = r
+            .used
             .iter()
             .filter_map(|s| match s {
-                SlotRef::NegElem(n) => Some(*n),
+                Slot::NegElem { neg, .. } => Some(*neg),
                 _ => None,
             })
             .collect();
         if !kleenes.is_empty() && !neg_refs.is_empty() {
             return Err(CompileError::ConditionMixesNegAndKleene);
         }
-        if !neg_refs.is_empty() {
-            let first = neg_refs[0];
+        if let Some(&first) = neg_refs.first() {
             if neg_refs.iter().any(|&n| n != first) {
                 return Err(CompileError::ConditionSpansNegs);
             }
-            negs[first].conditions.push(cond.clone());
+            negs[first].conditions.push(pred);
             continue;
         }
-        if !kleenes.is_empty() {
-            let first = kleenes[0];
+        if let Some(&first) = kleenes.first() {
             if kleenes.iter().any(|&k| k != first) {
                 return Err(CompileError::ConditionSpansKleenes);
             }
@@ -549,28 +691,25 @@ fn compile_branch(expr: &PatternExpr, conditions: &[Predicate]) -> Result<Branch
                 iter_conditions, ..
             } = &mut steps[first].kind
             {
-                iter_conditions.push(cond.clone());
+                iter_conditions.push(pred.clone());
             }
-            deferred_conds.push((first, cond.clone()));
+            deferred_conds.push((first, pred));
             continue;
         }
         // Pure single-step condition: eager.
-        let mask = slots.iter().fold(0u64, |m, s| match s {
-            SlotRef::Step(i) => m | (1 << i),
+        let step_mask = r.used.iter().fold(0u64, |m, s| match s {
+            Slot::Step(i) => m | (1 << i),
             _ => unreachable!("filtered above"),
         });
-        global_conds.push(GlobalCond {
-            pred: cond.clone(),
-            step_mask: mask,
-        });
+        global_conds.push(GlobalCond { pred, step_mask });
     }
 
-    Ok(Branch {
+    Ok((!never).then_some(Branch {
         steps,
         negs,
         global_conds,
         deferred_conds,
-    })
+    }))
 }
 
 #[cfg(test)]
@@ -585,6 +724,15 @@ mod tests {
 
     fn compile(expr: PatternExpr, conds: Vec<Predicate>) -> Result<Plan, CompileError> {
         Plan::compile(&Pattern::new(expr, conds, WindowSpec::Count(10)))
+    }
+
+    /// `l.0 < r.0` over slots.
+    fn slot_lt(l: Slot, r: Slot) -> SlotPredicate {
+        SlotPredicate::Cmp {
+            lhs: SlotExpr::Attr { slot: l, attr: 0 },
+            op: CmpOp::Lt,
+            rhs: SlotExpr::Attr { slot: r, attr: 0 },
+        }
     }
 
     #[test]
@@ -726,10 +874,12 @@ mod tests {
             vec![c1.clone(), c2.clone()],
         )
         .unwrap();
+        // Each lowers onto its own branch's steps 0 and 1.
+        let lowered = slot_lt(Slot::Step(0), Slot::Step(1));
         assert_eq!(p.branches[0].global_conds.len(), 1);
-        assert_eq!(p.branches[0].global_conds[0].pred, c1);
+        assert_eq!(p.branches[0].global_conds[0].pred, lowered);
         assert_eq!(p.branches[0].global_conds[0].step_mask, 0b11);
-        assert_eq!(p.branches[1].global_conds[0].pred, c2);
+        assert_eq!(p.branches[1].global_conds[0].pred, lowered);
     }
 
     #[test]
@@ -740,6 +890,54 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, CompileError::UnknownBinding("zzz".into()));
+    }
+
+    #[test]
+    fn unknown_binding_names_the_unresolved_one() {
+        let err = compile(
+            PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b")]),
+            vec![Predicate::lt(Expr::attr("a", 0), Expr::attr("z", 0))],
+        )
+        .unwrap_err();
+        assert_eq!(err, CompileError::UnknownBinding("z".into()));
+    }
+
+    #[test]
+    fn nan_constant_condition_is_placed() {
+        // NaN != NaN, so placement must not be found by comparing predicates.
+        let cond = Predicate::lt(Expr::scaled(f64::NAN, "b", 0), Expr::attr("a", 0));
+        let p = compile(
+            PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b")]),
+            vec![cond],
+        )
+        .unwrap();
+        assert_eq!(p.branches[0].global_conds.len(), 1);
+        assert_eq!(p.branches[0].global_conds[0].step_mask, 0b11);
+    }
+
+    #[test]
+    fn binding_free_conditions_are_decided_at_compile_time() {
+        let seq = || PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b")]);
+        let lt = |l: f64, r: f64| Predicate::lt(Expr::Const(l), Expr::Const(r));
+        // True: dropped, the branch stays.
+        let p = compile(seq(), vec![lt(1.0, 2.0)]).unwrap();
+        assert_eq!(p.branches.len(), 1);
+        assert!(p.branches[0].global_conds.is_empty());
+        // False: the branch can never match, and the other conditions still
+        // count as placed.
+        let own = Predicate::lt(Expr::attr("a", 0), Expr::attr("b", 0));
+        let p = compile(seq(), vec![lt(2.0, 1.0), own]).unwrap();
+        assert!(p.branches.is_empty());
+        // Every DISJ branch is removed, whichever binds the other conditions.
+        let p = compile(
+            PatternExpr::Disj(vec![seq(), leaf(2, "c")]),
+            vec![
+                lt(2.0, 1.0),
+                Predicate::gt(Expr::attr("c", 0), Expr::Const(0.0)),
+            ],
+        )
+        .unwrap();
+        assert!(p.branches.is_empty());
     }
 
     #[test]
@@ -755,15 +953,16 @@ mod tests {
         )
         .unwrap();
         let b = &p.branches[0];
+        let lowered = slot_lt(Slot::KleeneElem { step: 1, elem: 0 }, Slot::Step(0));
         match &b.steps[1].kind {
             StepKind::Kleene {
                 iter_conditions, ..
             } => {
-                assert_eq!(iter_conditions, &vec![cond.clone()])
+                assert_eq!(iter_conditions, &vec![lowered.clone()])
             }
             StepKind::Single { .. } => panic!(),
         }
-        assert_eq!(b.deferred_conds, vec![(1, cond)]);
+        assert_eq!(b.deferred_conds, vec![(1, lowered)]);
     }
 
     #[test]
@@ -778,7 +977,8 @@ mod tests {
             vec![cond.clone()],
         )
         .unwrap();
-        assert_eq!(p.branches[0].negs[0].conditions, vec![cond]);
+        let lowered = slot_lt(Slot::NegElem { neg: 0, elem: 0 }, Slot::Step(0));
+        assert_eq!(p.branches[0].negs[0].conditions, vec![lowered]);
     }
 
     #[test]

@@ -21,9 +21,8 @@
 use crate::engine::Match;
 use crate::nfa::{NfaConfig, NfaEngine};
 use crate::pattern::ast::Pattern;
-use crate::pattern::condition::{Expr, Predicate};
 use crate::pattern::error::PatternError;
-use crate::plan::{Branch, GroupElem, Plan, StepKind};
+use crate::plan::{Branch, Plan, StepKind};
 use crate::rewrite::{normalize_pattern, RewriteStats};
 use dlacep_events::WindowSpec;
 use std::collections::HashMap;
@@ -156,9 +155,9 @@ impl SharedPlan {
                 report.branches_total += 1;
                 let owner = Owner {
                     pattern: pi,
-                    bindings: emission_bindings(branch),
+                    bindings: branch.emission_bindings(),
                 };
-                let canon = canonicalize(branch);
+                let canon = canonicalize(branch, "");
                 match canon_branches.iter().position(|b| *b == canon) {
                     Some(k) => units[k].owners.push(owner),
                     None => {
@@ -184,9 +183,8 @@ impl SharedPlan {
         let mut unit_of_binding = HashMap::new();
         let mut fused_branches = Vec::with_capacity(canon_branches.len());
         for (k, canon) in canon_branches.iter().enumerate() {
-            let prefix = format!("u{k}.");
-            let prefixed = rename_branch(canon, &|name| format!("{prefix}{name}"));
-            for name in emission_bindings(&prefixed) {
+            let prefixed = canonicalize(canon, &format!("u{k}."));
+            for name in prefixed.emission_bindings() {
                 unit_of_binding.insert(name, k);
             }
             fused_branches.push(prefixed);
@@ -289,113 +287,29 @@ fn accumulate(into: &mut RewriteStats, from: &RewriteStats) {
     into.groups_simplified += from.groups_simplified;
 }
 
-/// Binding names a branch emits in [`Match`] order: steps in order, a single
-/// step contributing its binding and a Kleene step its inner elements'.
-/// (Negated bindings never appear in emitted matches.)
-fn emission_bindings(branch: &Branch) -> Vec<String> {
-    let mut out = Vec::new();
-    for step in &branch.steps {
-        match &step.kind {
-            StepKind::Single { binding, .. } => out.push(binding.clone()),
-            StepKind::Kleene { inner, .. } => {
-                out.extend(inner.iter().map(|e| e.binding.clone()));
-            }
-        }
-    }
-    out
-}
-
-/// Rename every binding in a branch to a positional name (`s<i>` for the
-/// single step at index i, `k<i>x<j>` for Kleene elements, `n<g>x<j>` for
-/// negated elements), rewriting all conditions consistently. Branches that
-/// differ only in binding names become equal.
-fn canonicalize(branch: &Branch) -> Branch {
-    let mut map: HashMap<String, String> = HashMap::new();
-    for (i, step) in branch.steps.iter().enumerate() {
-        match &step.kind {
-            StepKind::Single { binding, .. } => {
-                map.insert(binding.clone(), format!("s{i}"));
-            }
-            StepKind::Kleene { inner, .. } => {
-                for (j, elem) in inner.iter().enumerate() {
-                    map.insert(elem.binding.clone(), format!("k{i}x{j}"));
-                }
-            }
-        }
-    }
-    for (g, neg) in branch.negs.iter().enumerate() {
-        for (j, elem) in neg.inner.iter().enumerate() {
-            map.insert(elem.binding.clone(), format!("n{g}x{j}"));
-        }
-    }
-    rename_branch(branch, &|name| {
-        map.get(name).cloned().unwrap_or_else(|| name.to_string())
-    })
-}
-
-/// Structurally rename every binding occurrence in a branch.
-fn rename_branch(branch: &Branch, f: &dyn Fn(&str) -> String) -> Branch {
+/// Rename every binding in a branch to `prefix` plus a positional name
+/// (`s<i>` for the single step at index i, `k<i>x<j>` for Kleene elements,
+/// `n<g>x<j>` for negated elements). Conditions are already positional
+/// ([`crate::plan::Slot`]), so with an empty prefix branches that differ only
+/// in binding names become equal.
+fn canonicalize(branch: &Branch, prefix: &str) -> Branch {
     let mut out = branch.clone();
-    for step in &mut out.steps {
+    for (i, step) in out.steps.iter_mut().enumerate() {
         match &mut step.kind {
-            StepKind::Single { binding, .. } => *binding = f(binding),
-            StepKind::Kleene {
-                inner,
-                iter_conditions,
-            } => {
-                rename_elems(inner, f);
-                for c in iter_conditions.iter_mut() {
-                    *c = rename_pred(c, f);
+            StepKind::Single { binding, .. } => *binding = format!("{prefix}s{i}"),
+            StepKind::Kleene { inner, .. } => {
+                for (j, elem) in inner.iter_mut().enumerate() {
+                    elem.binding = format!("{prefix}k{i}x{j}");
                 }
             }
         }
     }
-    for neg in &mut out.negs {
-        rename_elems(&mut neg.inner, f);
-        for c in neg.conditions.iter_mut() {
-            *c = rename_pred(c, f);
+    for (g, neg) in out.negs.iter_mut().enumerate() {
+        for (j, elem) in neg.inner.iter_mut().enumerate() {
+            elem.binding = format!("{prefix}n{g}x{j}");
         }
     }
-    for g in &mut out.global_conds {
-        g.pred = rename_pred(&g.pred, f);
-    }
-    for (_, p) in &mut out.deferred_conds {
-        *p = rename_pred(p, f);
-    }
     out
-}
-
-fn rename_elems(elems: &mut [GroupElem], f: &dyn Fn(&str) -> String) {
-    for e in elems {
-        e.binding = f(&e.binding);
-    }
-}
-
-fn rename_expr(e: &Expr, f: &dyn Fn(&str) -> String) -> Expr {
-    match e {
-        Expr::Const(c) => Expr::Const(*c),
-        Expr::Attr { binding, attr } => Expr::Attr {
-            binding: f(binding),
-            attr: *attr,
-        },
-        Expr::Mul(a, b) => Expr::Mul(Box::new(rename_expr(a, f)), Box::new(rename_expr(b, f))),
-        Expr::Add(a, b) => Expr::Add(Box::new(rename_expr(a, f)), Box::new(rename_expr(b, f))),
-        Expr::Sub(a, b) => Expr::Sub(Box::new(rename_expr(a, f)), Box::new(rename_expr(b, f))),
-    }
-}
-
-fn rename_pred(p: &Predicate, f: &dyn Fn(&str) -> String) -> Predicate {
-    match p {
-        Predicate::Cmp { lhs, op, rhs } => Predicate::Cmp {
-            lhs: rename_expr(lhs, f),
-            op: *op,
-            rhs: rename_expr(rhs, f),
-        },
-        Predicate::And(ps) => Predicate::And(ps.iter().map(|q| rename_pred(q, f)).collect()),
-        Predicate::Or(ps) => Predicate::Or(ps.iter().map(|q| rename_pred(q, f)).collect()),
-        Predicate::Not(q) => Predicate::Not(Box::new(rename_pred(q, f))),
-        Predicate::True => Predicate::True,
-    }
 }
 
 /// Length of the common step prefix of two canonical branches.

@@ -13,7 +13,7 @@
 
 use crate::engine::{CepEngine, EngineStats, EventArena, Match};
 use crate::pattern::ast::Pattern;
-use crate::plan::{Branch, CompileError, Plan, StepKind};
+use crate::plan::{Branch, CompileError, Plan, Slot, StepKind};
 use crate::state::{EntrySnapshot, StateError, TreeEngineState};
 use dlacep_events::{EventId, PrimitiveEvent, WindowSpec};
 
@@ -155,7 +155,8 @@ struct BranchTree {
     root: usize,
     /// step → leaf node index
     leaf_of: Vec<usize>,
-    binding_of: Vec<String>,
+    /// Binding names of emitted matches ([`Branch::emission_bindings`]).
+    names: Vec<String>,
 }
 
 impl BranchTree {
@@ -199,20 +200,12 @@ impl BranchTree {
             }
         }
         let root = add(&mut nodes, &mut leaf_of, &shape);
-        let binding_of = branch
-            .steps
-            .iter()
-            .map(|s| match &s.kind {
-                StepKind::Single { binding, .. } => binding.clone(),
-                StepKind::Kleene { .. } => unreachable!("rejected above"),
-            })
-            .collect();
         Ok(Self {
+            names: branch.emission_bindings(),
             branch,
             nodes,
             root,
             leaf_of,
-            binding_of,
         })
     }
 }
@@ -399,7 +392,6 @@ impl TreeEngine {
         stats: &mut EngineStats,
         arena: &EventArena,
         branch: &Branch,
-        binding_of: &[String],
         window: WindowSpec,
         x: &Entry,
         y: &Entry,
@@ -464,16 +456,15 @@ impl TreeEngine {
             if m & combined_mask != m {
                 continue;
             }
-            if m != 0 && (m & x.mask == m || m & y.mask == m) {
+            if m & x.mask == m || m & y.mask == m {
                 continue; // already validated below this node
             }
             stats.condition_evaluations += 1;
-            let lookup = |b: &str, a: usize| -> Option<f64> {
-                let step = binding_of.iter().position(|n| n == b)?;
-                let id = ids[step]?;
-                arena.get(id)?.attr(a)
+            let get = |slot: Slot, a: usize| match slot {
+                Slot::Step(s) => arena.get(ids[s]?)?.attr(a),
+                _ => None,
             };
-            if cond.pred.eval(&lookup) != Some(true) {
+            if cond.pred.eval(get) != Some(true) {
                 return None;
             }
         }
@@ -528,18 +519,14 @@ impl CepEngine for TreeEngine {
                     min_ts: ev.ts.0,
                     max_ts: ev.ts.0,
                 };
-                // Single-step conditions gate leaf insertion.
+                // Single-step conditions (every slot is step `s`) gate leaf
+                // insertion.
                 let ok = tree.branch.global_conds.iter().all(|c| {
                     if c.step_mask != 1 << s {
                         return true;
                     }
                     stats.condition_evaluations += 1;
-                    let lookup = |b: &str, a: usize| -> Option<f64> {
-                        let step = tree.binding_of.iter().position(|nm| nm == b)?;
-                        let id = entry.ids[step]?;
-                        arena.get(id)?.attr(a)
-                    };
-                    c.pred.eval(&lookup) == Some(true)
+                    c.pred.eval(|_, a| ev.attr(a)) == Some(true)
                 });
                 if !ok {
                     continue;
@@ -549,13 +536,10 @@ impl CepEngine for TreeEngine {
             while let Some((node_idx, entry)) = queue.pop() {
                 stats.partial_matches_created += 1;
                 if node_idx == tree.root {
-                    let bindings: Vec<(String, Vec<EventId>)> = tree
-                        .binding_of
-                        .iter()
-                        .enumerate()
-                        .map(|(s, name)| (name.clone(), vec![entry.ids[s].expect("root entry")]))
-                        .collect();
-                    out.push(Match::from_bindings(bindings));
+                    let ids = entry.ids.iter().map(|id| vec![id.expect("root entry")]);
+                    out.push(Match::from_bindings(
+                        tree.names.iter().cloned().zip(ids).collect(),
+                    ));
                     stats.matches_emitted += 1;
                     continue;
                 }
@@ -564,15 +548,7 @@ impl CepEngine for TreeEngine {
                 let sibling = if l == node_idx { r } else { l };
                 let mut joined: Vec<Entry> = Vec::new();
                 for other in &tree.nodes[sibling].buffer {
-                    if let Some(j) = Self::join(
-                        stats,
-                        arena,
-                        &tree.branch,
-                        &tree.binding_of,
-                        window,
-                        &entry,
-                        other,
-                    ) {
+                    if let Some(j) = Self::join(stats, arena, &tree.branch, window, &entry, other) {
                         joined.push(j);
                     }
                 }
@@ -615,14 +591,6 @@ pub fn estimate_cost_model(branch: &Branch, sample: &[PrimitiveEvent]) -> CostMo
             rates[s] = c as f64 / total;
         }
     }
-    let binding_of: Vec<String> = branch
-        .steps
-        .iter()
-        .map(|s| match &s.kind {
-            StepKind::Single { binding, .. } => binding.clone(),
-            StepKind::Kleene { .. } => String::new(),
-        })
-        .collect();
     let mut sel = vec![vec![1.0; n]; n];
     for cond in &branch.global_conds {
         let steps: Vec<usize> = (0..n).filter(|s| cond.step_mask & (1 << s) != 0).collect();
@@ -645,16 +613,12 @@ pub fn estimate_cost_model(branch: &Branch, sample: &[PrimitiveEvent]) -> CostMo
         let mut tried = 0usize;
         for a in &events_i {
             for b in &events_j {
-                let lookup = |bd: &str, at: usize| -> Option<f64> {
-                    if bd == binding_of[i] {
-                        a.attr(at)
-                    } else if bd == binding_of[j] {
-                        b.attr(at)
-                    } else {
-                        None
-                    }
+                let get = |slot: Slot, at: usize| match slot {
+                    Slot::Step(s) if s == i => a.attr(at),
+                    Slot::Step(s) if s == j => b.attr(at),
+                    _ => None,
                 };
-                if let Some(ok) = cond.pred.eval(&lookup) {
+                if let Some(ok) = cond.pred.eval(get) {
                     tried += 1;
                     if ok {
                         pass += 1;

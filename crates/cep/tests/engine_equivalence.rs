@@ -25,12 +25,14 @@ fn pool() -> &'static ThreadPool {
 /// assignments of distinct events to steps, check preds order, window and
 /// conditions.
 fn brute_force(pattern: &Pattern, events: &[PrimitiveEvent]) -> Vec<Vec<EventId>> {
-    let plan = Plan::compile(pattern).expect("compiles");
+    // Structure only: conditions are read from the pattern, by name.
+    let structure = Pattern::new(pattern.expr.clone(), vec![], pattern.window);
+    let plan = Plan::compile(&structure).expect("compiles");
     let mut out: Vec<Vec<EventId>> = Vec::new();
     for branch in &plan.branches {
         let n = branch.steps.len();
         let mut assignment: Vec<usize> = vec![usize::MAX; n];
-        enumerate(branch, &plan, events, 0, &mut assignment, &mut out);
+        enumerate(branch, pattern, &plan, events, 0, &mut assignment, &mut out);
     }
     out.sort();
     out.dedup();
@@ -39,6 +41,7 @@ fn brute_force(pattern: &Pattern, events: &[PrimitiveEvent]) -> Vec<Vec<EventId>
 
 fn enumerate(
     branch: &dlacep_cep::plan::Branch,
+    pattern: &Pattern,
     plan: &Plan,
     events: &[PrimitiveEvent],
     step: usize,
@@ -68,8 +71,16 @@ fn enumerate(
             }
             None
         };
-        for cond in &branch.global_conds {
-            if cond.pred.eval(&lookup) != Some(true) {
+        // The branch's conditions: those whose bindings all lie in it.
+        let binds = |b: &str| {
+            branch
+                .steps
+                .iter()
+                .any(|st| matches!(&st.kind, StepKind::Single { binding, .. } if binding == b))
+        };
+        for cond in &pattern.conditions {
+            let in_branch = cond.referenced_bindings().iter().all(|b| binds(b));
+            if in_branch && cond.eval(&lookup) != Some(true) {
                 return;
             }
         }
@@ -105,7 +116,7 @@ fn enumerate(
             continue;
         }
         assignment[step] = i;
-        enumerate(branch, plan, events, step + 1, assignment, out);
+        enumerate(branch, pattern, plan, events, step + 1, assignment, out);
         assignment[step] = usize::MAX;
     }
 }
@@ -119,6 +130,20 @@ fn keys(ms: &[dlacep_cep::Match]) -> Vec<Vec<EventId>> {
 
 fn leaf(t: u32, b: &str) -> PatternExpr {
     PatternExpr::event(TypeSet::single(TypeId(t)), b)
+}
+
+/// Binding-free conditions: none (0), `1 < 2` (1, true) or `2 < 1` (2, false).
+fn konst(k: u8) -> Vec<Predicate> {
+    match k {
+        1 => vec![Predicate::lt(Expr::Const(1.0), Expr::Const(2.0))],
+        2 => vec![Predicate::lt(Expr::Const(2.0), Expr::Const(1.0))],
+        _ => vec![],
+    }
+}
+
+fn with_konst(mut conds: Vec<Predicate>, c: u8) -> Vec<Predicate> {
+    conds.extend(konst(c));
+    conds
 }
 
 fn make_stream(types: &[u8], vals: &[i8]) -> EventStream {
@@ -137,11 +162,12 @@ proptest! {
         types in prop::collection::vec(0u8..4, 1..14),
         vals in prop::collection::vec(-5i8..5, 14),
         w in 2u64..8,
+        k in 0u8..3,
     ) {
         let s = make_stream(&types, &vals);
         let p = Pattern::new(
             PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b"), leaf(2, "c")]),
-            vec![Predicate::gt(Expr::attr("c", 0), Expr::attr("a", 0))],
+            with_konst(vec![Predicate::gt(Expr::attr("c", 0), Expr::attr("a", 0))], k),
             WindowSpec::Count(w),
         );
         let expected = brute_force(&p, s.events());
@@ -154,11 +180,12 @@ proptest! {
         types in prop::collection::vec(0u8..4, 1..12),
         vals in prop::collection::vec(-5i8..5, 12),
         w in 2u64..8,
+        k in 0u8..3,
     ) {
         let s = make_stream(&types, &vals);
         let p = Pattern::new(
             PatternExpr::Conj(vec![leaf(0, "a"), leaf(1, "b")]),
-            vec![Predicate::lt(Expr::attr("a", 0), Expr::attr("b", 0))],
+            with_konst(vec![Predicate::lt(Expr::attr("a", 0), Expr::attr("b", 0))], k),
             WindowSpec::Count(w),
         );
         let expected = brute_force(&p, s.events());
@@ -175,6 +202,7 @@ proptest! {
         types in prop::collection::vec(0u8..4, 1..12),
         vals in prop::collection::vec(-5i8..5, 12),
         w in 3u64..9,
+        k in 0u8..3,
     ) {
         let s = make_stream(&types, &vals);
         let p = Pattern::new(
@@ -182,13 +210,39 @@ proptest! {
                 PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b")]),
                 PatternExpr::Seq(vec![leaf(2, "c"), leaf(3, "d")]),
             ]),
-            vec![],
+            konst(k),
             WindowSpec::Count(w),
         );
         let expected = brute_force(&p, s.events());
         let mut nfa = NfaEngine::new(&p).unwrap();
         let mut tree = TreeEngine::new(&p).unwrap();
         let mut lazy = LazyEngine::new(&p, None).unwrap();
+        prop_assert_eq!(keys(&nfa.run(s.events())), expected.clone());
+        prop_assert_eq!(keys(&tree.run(s.events())), expected.clone());
+        prop_assert_eq!(keys(&lazy.run(s.events())), expected);
+    }
+
+    #[test]
+    fn all_engines_agree_on_one_step(
+        types in prop::collection::vec(0u8..4, 1..12),
+        vals in prop::collection::vec(-5i8..5, 12),
+        w in 1u64..6,
+        cond in 0u8..2,
+        k in 0u8..3,
+    ) {
+        // A one-step pattern, optionally with a single-step condition: the
+        // binding-free condition is the only one no step can trigger.
+        let s = make_stream(&types, &vals);
+        let own = Predicate::gt(Expr::attr("a", 0), Expr::Const(0.0));
+        let p = Pattern::new(
+            leaf(0, "a"),
+            with_konst(if cond == 1 { vec![own] } else { vec![] }, k),
+            WindowSpec::Count(w),
+        );
+        let expected = brute_force(&p, s.events());
+        let mut nfa = NfaEngine::new(&p).unwrap();
+        let mut tree = TreeEngine::new(&p).unwrap();
+        let mut lazy = LazyEngine::with_sample(&p, s.events()).unwrap();
         prop_assert_eq!(keys(&nfa.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&tree.run(s.events())), expected.clone());
         prop_assert_eq!(keys(&lazy.run(s.events())), expected);
@@ -224,6 +278,7 @@ proptest! {
         vals in prop::collection::vec(-5i8..5, 24),
         w in 2u64..8,
         target in 2usize..8,
+        k in 0u8..3,
     ) {
         // Every engine kind, evaluated sharded on a shared pool with a tiny
         // shard target (so multi-shard layouts actually occur), must emit
@@ -232,7 +287,7 @@ proptest! {
         let s = make_stream(&types, &vals);
         let p = Pattern::new(
             PatternExpr::Seq(vec![leaf(0, "a"), leaf(1, "b")]),
-            vec![Predicate::gt(Expr::attr("b", 0), Expr::attr("a", 0))],
+            with_konst(vec![Predicate::gt(Expr::attr("b", 0), Expr::attr("a", 0))], k),
             WindowSpec::Count(w),
         );
         let expected = brute_force(&p, s.events());
